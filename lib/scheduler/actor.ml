@@ -7,9 +7,9 @@ type ctx = {
   reject : Literal.t -> unit;
   trigger_task : Literal.t -> bool;
   stats : Wf_obs.Metrics.t;
-  emit_assim : (Wf_obs.Trace.outcome -> int -> unit) option;
-      (* trace hook for guard-assimilation outcomes; [None] (replay,
-         tracing off) costs one branch per decision *)
+  emit_assim : (Wf_obs.Trace.outcome -> Guard.t -> unit) option;
+      (* hook for guard-assimilation outcomes; [None] (replay) costs one
+         branch per decision *)
 }
 
 type parked = {
@@ -41,11 +41,8 @@ let park ~pol ~via_trigger guard =
     tview = None;
   }
 
-(* Trace hook: guard ids are only interned when a sink is listening. *)
 let note_assim ctx outcome guard =
-  match ctx.emit_assim with
-  | None -> ()
-  | Some f -> f outcome (Guard.uid guard)
+  match ctx.emit_assim with None -> () | Some f -> f outcome guard
 
 type t = {
   sym : Symbol.t;

@@ -42,10 +42,11 @@ type ctx = {
   trigger_task : Literal.t -> bool;
       (** cause the event in the owning task; false on a trigger fault *)
   stats : Wf_obs.Metrics.t;
-  emit_assim : (Wf_obs.Trace.outcome -> int -> unit) option;
-      (** trace hook, called with the assimilation outcome and the
-          evaluated guard's {!Wf_core.Guard.uid} at every guard
-          decision; [None] disables emission at the cost of one branch *)
+  emit_assim : (Wf_obs.Trace.outcome -> Guard.t -> unit) option;
+      (** called with the assimilation outcome and the evaluated guard
+          at every guard decision; a tracer interns the guard
+          ({!Wf_core.Guard.uid}) only when it emits.  [None] costs one
+          branch *)
 }
 
 type t

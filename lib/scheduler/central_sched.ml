@@ -450,12 +450,6 @@ let rec schedule_agent rt agent =
   | None -> ()
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      let delay =
-        Flow.arrival_delay rt.cfg.arrival
-          ~rng:(Wf_sim.Netsim.rng rt.net)
-          ~now:(Wf_sim.Netsim.now rt.net)
-          ~mean:rt.cfg.think_time
-      in
       let site = Hashtbl.find rt.agent_site (Agent.instance agent) in
       let attempt_body () =
         Wf_obs.Metrics.incr (stats rt) "attempts";
@@ -478,22 +472,9 @@ let rec schedule_agent rt agent =
       (* Admission gate: the congested resource is the center, so the
          verdict keys on the central site's depth, while the shed
          streak and trace record stay with the attempting site. *)
-      let rec admitted_thunk first () =
-        match Channel.flow rt.chan with
-        | None -> attempt_body ()
-        | Some fl -> (
-            match
-              Flow.admit fl ~site ~actor:(Symbol.name sym)
-                ~depth:(Flow.depth fl ~site:central_site)
-                ~first ()
-            with
-            | Flow.Admitted -> attempt_body ()
-            | Flow.Busy { retry_after } ->
-                Wf_sim.Netsim.schedule rt.net ~delay:retry_after
-                  (admitted_thunk first))
-      in
-      Wf_sim.Netsim.schedule rt.net ~delay (fun () ->
-          admitted_thunk (Wf_sim.Netsim.now rt.net) ())
+      Flow.schedule_attempt (Channel.flow rt.chan) ~net:rt.net
+        ~arrival:rt.cfg.arrival ~mean:rt.cfg.think_time ~site
+        ~depth_site:central_site ~actor:(Symbol.name sym) attempt_body
 
 let agent_handle rt agent m =
   match m with
@@ -557,6 +538,7 @@ let run ?(config = default_config) wf =
   | Some m ->
       Wf_store.Journal.attach journal
         (Wf_store.Log.create c_codec (Wf_store.Media.Sim.device m)));
+  let { Runtime.agents; agent_of_symbol; _ } = Runtime.agent_table wf in
   let rt =
     {
       wf;
@@ -576,9 +558,9 @@ let run ?(config = default_config) wf =
             })
           deps_exprs;
       journal;
-      agents = Hashtbl.create 16;
+      agents;
       agent_site = Hashtbl.create 16;
-      agent_of_symbol = Hashtbl.create 64;
+      agent_of_symbol;
       decided_set = Hashtbl.create 64;
       replaying = false;
       parked = [];
@@ -590,19 +572,7 @@ let run ?(config = default_config) wf =
   in
   List.iter
     (fun (task : Workflow_def.task) ->
-      let agent =
-        Agent.create ~instance:task.instance ~model:task.model
-          ~script:task.script ~parametrize:task.parametrize ()
-      in
-      Hashtbl.replace rt.agents task.instance agent;
-      Hashtbl.replace rt.agent_site task.instance task.site;
-      List.iter
-        (fun (ev, _, _) ->
-          let sym =
-            Task_model.symbol_of_event task.model ~instance:task.instance ev
-          in
-          Hashtbl.replace rt.agent_of_symbol sym task.instance)
-        task.model.Task_model.significant)
+      Hashtbl.replace rt.agent_site task.instance task.site)
     wf.Workflow_def.tasks;
   (* Message dispatch: requests are handled by the center; replies are
      routed to the owning agent by the literal they carry. *)

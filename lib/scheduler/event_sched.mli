@@ -9,11 +9,20 @@ open Wf_tasks
     agents attempt events; occurrences are announced only to the actors
     whose guards mention them.
 
-    The run ends with a {e closing} phase: when all activity quiesces,
-    the complements of events that can no longer occur are emitted
-    (making the realized trace maximal, as the temporal semantics
-    requires), any attempts still parked are rejected, and the realized
-    trace is checked against every dependency. *)
+    The actors, agents, journals, recovery and closing are
+    {!Runtime}'s; this module is its network transport.  Messages ride
+    the reliable {!Channel} over [Wf_sim.Netsim], an agent's next
+    attempt waits out its arrival delay behind the {!Flow} admission
+    gate, and a restarted site salvages its simulated storage before
+    the runtime rebuilds its actors.  {!Step_sched} runs the same
+    runtime under the model checker.
+
+    Agents are kicked off in sorted instance order.  The run ends with
+    the runtime's {e closing} phase: when all activity quiesces, the
+    complements of events that can no longer occur are emitted (making
+    the realized trace maximal, as the temporal semantics requires),
+    any attempts still parked are rejected, and the realized trace is
+    checked against every dependency. *)
 
 type config = {
   seed : int64;

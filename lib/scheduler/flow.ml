@@ -206,3 +206,23 @@ let arrival_delay a ~rng ~now ~mean =
       let period = 4.0 *. Float.max mean 1e-9 in
       let next = (Float.of_int (int_of_float (now /. period)) +. 1.0) *. period in
       Float.max (next -. now) 1e-9
+
+(* --- gated attempts ------------------------------------------------------ *)
+
+let schedule_attempt flow ~net ~arrival ~mean ~site ~depth_site ~actor body =
+  let delay =
+    arrival_delay arrival ~rng:(Wf_sim.Netsim.rng net)
+      ~now:(Wf_sim.Netsim.now net) ~mean
+  in
+  let rec gated first () =
+    match flow with
+    | None -> body ()
+    | Some fl -> (
+        match
+          admit fl ~site ~actor ~depth:(depth fl ~site:depth_site) ~first ()
+        with
+        | Admitted -> body ()
+        | Busy { retry_after } ->
+            Wf_sim.Netsim.schedule net ~delay:retry_after (gated first))
+  in
+  Wf_sim.Netsim.schedule net ~delay (fun () -> gated (Wf_sim.Netsim.now net) ())

@@ -166,3 +166,21 @@ val arrival_delay :
     [1/mean]: [Poisson] draws an exponential inter-arrival; [Burst]
     quantizes to the next multiple of [4 * mean], so all sources fire
     in synchronized batches of the same average rate. *)
+
+val schedule_attempt :
+  t option ->
+  net:'msg Wf_sim.Netsim.t ->
+  arrival:arrival ->
+  mean:float ->
+  site:int ->
+  depth_site:int ->
+  actor:string ->
+  (unit -> unit) ->
+  unit
+(** Schedule an agent's attempt [body] after the next [arrival] delay,
+    behind the admission gate: with flow control on, an attempt from
+    [site] that arrives while [depth_site]'s queue depth is over the
+    shed watermark is refused with [Busy] and retried after the
+    verdict's seeded backoff, so load sheds at the boundary instead of
+    growing queues.  [depth_site] is the attempting site itself when
+    the work is local, or the remote site that does the work. *)

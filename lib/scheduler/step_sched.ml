@@ -1,11 +1,12 @@
 open Wf_core
 open Wf_tasks
 
-(* A step-controllable twin of [Event_sched]: same actors, agents,
-   journals, and recovery path, but no network — protocol messages wait
-   in explicit per-(sender, receiver) FIFO queues and every transition
-   happens only when the caller performs it.  See the interface for the
-   model relative to the simulator. *)
+(* The step-controllable transport of [Runtime]: the actors, agents,
+   journals, recovery and closing are the runtime's, but there is no
+   network — protocol messages wait in explicit per-(sender, receiver)
+   FIFO queues and every transition happens only when the caller
+   performs it.  See the interface for the model relative to the
+   simulator. *)
 
 module Pair = struct
   type t = Symbol.t * Symbol.t
@@ -45,273 +46,95 @@ module Dq = struct
   let to_list q = q.front @ List.rev q.back
 end
 
-type jstate = {
-  mutable j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
-  mutable depth : int;
-}
-
 type t = {
-  wf : Workflow_def.t;
-  compiled : Compile.t;
+  rt : Runtime.t;
   nsites : int;
-  stats : Wf_obs.Metrics.t;
-  replay_stats : Wf_obs.Metrics.t;
-  actors : (Symbol.t, Actor.t) Hashtbl.t;
-  ctxs : (Symbol.t, Actor.ctx) Hashtbl.t;
-  journals : (Symbol.t, jstate) Hashtbl.t;
-  actor_seeds : (Symbol.t, unit -> Actor.t) Hashtbl.t;
-  agents : (string, Agent.t) Hashtbl.t;
-  instances : string list; (* sorted *)
-  symbols : Symbol.t list; (* sorted *)
-  agent_of_symbol : (Symbol.t, string) Hashtbl.t;
-  subscriptions : (Symbol.t, Symbol.Set.t) Hashtbl.t;
-  pending_trigger_complements : (Symbol.t, Literal.t list) Hashtbl.t;
   epochs : int array;
-  mutable queues : Messages.t Dq.t PairMap.t; (* oldest first *)
-  mutable decided : Symbol.Set.t;
-  mutable seqno : int;
-  mutable occurrences : (Literal.t * int) list; (* newest first *)
-  mutable rejected : Literal.t list;
-  mutable forced : int;
-  mutable uncontrollable : int;
+  queues : Messages.t Dq.t PairMap.t ref; (* oldest first *)
   mutable crashes : int;
 }
 
-let workflow t = t.wf
-let compiled t = t.compiled
+let workflow t = t.rt.wf
+let compiled t = t.rt.compiled
 let num_sites t = t.nsites
-let symbols t = t.symbols
-let stats t = t.stats
-let rejected t = List.rev t.rejected
-let forced t = t.forced
-let uncontrollable t = t.uncontrollable
+let symbols t = t.rt.symbols
+let stats t = t.rt.stats
+let rejected t = List.rev t.rt.rejected
+let forced t = t.rt.forced
+let uncontrollable t = t.rt.uncontrollable
 let crashes_used t = t.crashes
 let epoch t site = t.epochs.(site)
-let trace t = List.rev_map fst t.occurrences
-let decided_globally t sym = Symbol.Set.mem sym t.decided
-
-let actor_of t sym =
-  match Hashtbl.find_opt t.actors sym with
-  | Some a -> a
-  | None -> Fmt.invalid_arg "Step_sched: no actor for %a" Symbol.pp sym
-
-let subscribers_of t sym =
-  Option.value (Hashtbl.find_opt t.subscriptions sym) ~default:Symbol.Set.empty
-
-let enqueue t ~src ~dst msg =
-  let key = (src, dst) in
-  let q = Option.value (PairMap.find_opt key t.queues) ~default:Dq.empty in
-  t.queues <- PairMap.add key (Dq.push q msg) t.queues
-
-(* Per-actor context.  Unlike [Event_sched]'s, the closures capture only
-   the symbol, never the actor record, so recovery can swap in a fresh
-   actor without invalidating the memoized context. *)
-let rec ctx_for t sym : Actor.ctx =
-  match Hashtbl.find_opt t.ctxs sym with
-  | Some ctx -> ctx
-  | None ->
-      let ctx =
-        {
-          Actor.send =
-            (fun dst msg ->
-              enqueue t ~src:sym ~dst msg;
-              Wf_obs.Metrics.incr t.stats ("msg_" ^ Messages.label msg));
-          Actor.fire = (fun lit -> fire t lit);
-          Actor.reject = (fun lit -> reject t lit);
-          Actor.trigger_task = (fun lit -> trigger_task t lit);
-          Actor.stats = t.stats;
-          Actor.emit_assim =
-            (* The [Forced] counter must revert on backtracking, so it
-               lives in the snapshotted state, not in the metrics. *)
-            Some
-              (fun outcome _guard ->
-                match outcome with
-                | Wf_obs.Trace.Forced -> t.forced <- t.forced + 1
-                | _ -> ());
-        }
-      in
-      Hashtbl.add t.ctxs sym ctx;
-      ctx
-
-(* Journaled delivery: append (write-ahead), apply, checkpoint at the
-   transition boundary — [Event_sched.deliver] verbatim. *)
-and deliver t actor input =
-  let js = Hashtbl.find t.journals (Actor.symbol actor) in
-  Wf_store.Journal.append js.j input;
-  js.depth <- js.depth + 1;
-  Fun.protect
-    ~finally:(fun () -> js.depth <- js.depth - 1)
-    (fun () -> Actor.apply (ctx_for t (Actor.symbol actor)) actor input);
-  if js.depth = 0 && Wf_store.Journal.wants_checkpoint js.j then
-    Wf_store.Journal.checkpoint js.j (Actor.snapshot actor)
-
-and fire t lit =
-  let sym = Literal.symbol lit in
-  if decided_globally t sym then ()
-  else begin
-    t.seqno <- t.seqno + 1;
-    let seqno = t.seqno in
-    t.occurrences <- (lit, seqno) :: t.occurrences;
-    t.decided <- Symbol.Set.add sym t.decided;
-    Wf_obs.Metrics.incr t.stats "occurrences";
-    (* Own actor learns first (it hosts the event). *)
-    let actor = actor_of t sym in
-    deliver t actor (Actor.I_occurred { lit; seqno });
-    (* The owning agent advances; triggered transitions already advanced
-       the agent, so use the stashed complements instead. *)
-    let complements =
-      match Hashtbl.find_opt t.pending_trigger_complements sym with
-      | Some cs ->
-          Hashtbl.remove t.pending_trigger_complements sym;
-          cs
-      | None -> (
-          if not (Literal.is_pos lit) then []
-          else
-            match Hashtbl.find_opt t.agent_of_symbol sym with
-            | None -> []
-            | Some instance ->
-                Agent.on_accepted (Hashtbl.find t.agents instance) sym)
-    in
-    (* Announce to every subscriber actor — queued, not delivered: the
-       propagation order is the caller's to choose. *)
-    Symbol.Set.iter
-      (fun watcher_sym ->
-        if not (Symbol.equal watcher_sym sym) then begin
-          enqueue t ~src:sym ~dst:watcher_sym (Messages.Announce { lit; seqno });
-          Wf_obs.Metrics.incr t.stats "msg_announce"
-        end)
-      (subscribers_of t sym);
-    (* Newly impossible events: their complements occur. *)
-    List.iter (fun c -> fire t c) complements
-  end
-
-and reject t lit =
-  t.rejected <- lit :: t.rejected;
-  Wf_obs.Metrics.incr t.stats "rejections";
-  match Hashtbl.find_opt t.agent_of_symbol (Literal.symbol lit) with
-  | None -> ()
-  | Some instance -> Agent.on_rejected (Hashtbl.find t.agents instance) (Literal.symbol lit)
-
-and trigger_task t lit =
-  match Hashtbl.find_opt t.agent_of_symbol (Literal.symbol lit) with
-  | None -> false
-  | Some instance -> (
-      let agent = Hashtbl.find t.agents instance in
-      match Agent.trigger agent (Literal.symbol lit) with
-      | None -> false
-      | Some complements ->
-          Hashtbl.replace t.pending_trigger_complements (Literal.symbol lit)
-            complements;
-          true)
+let trace t =
+  List.rev_map (fun (o : Runtime.occurrence) -> o.lit) t.rt.occurrences
 
 (* {2 Transitions} *)
 
-let enabled_attempts t =
+let enabled (rt : Runtime.t) =
   List.filter
-    (fun instance -> Agent.want (Hashtbl.find t.agents instance) <> None)
-    t.instances
+    (fun i -> Agent.want (Hashtbl.find rt.tasks.agents i) <> None)
+    rt.tasks.instances
 
-let do_attempt t instance =
+let attempt (rt : Runtime.t) instance =
   let agent =
-    match Hashtbl.find_opt t.agents instance with
+    match Hashtbl.find_opt rt.tasks.agents instance with
     | Some a -> a
     | None -> invalid_arg ("Step_sched.do_attempt: unknown instance " ^ instance)
   in
   match Agent.want agent with
-  | None -> invalid_arg ("Step_sched.do_attempt: no enabled attempt for " ^ instance)
+  | None ->
+      invalid_arg ("Step_sched.do_attempt: no enabled attempt for " ^ instance)
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      Wf_obs.Metrics.incr t.stats "attempts";
-      if attr.Attribute.controllable then begin
-        let actor = actor_of t sym in
-        (* Vet the complements the transition entails together with the
-           event's own guard: committing must be allowed to preclude
-           aborting, etc. *)
-        let entailed =
-          Guard.conj_all
-            (List.map
-               (fun c -> (Compile.plan t.compiled c).Compile.guard)
-               (Agent.would_make_unreachable agent sym))
-        in
-        deliver t actor (Actor.I_attempt { pol = Literal.Pos; entailed })
-      end
-      else begin
-        (* Uncontrollable: announced, not requested.  Record a violation
-           if the guard would have said no. *)
-        let actor = actor_of t sym in
-        let g = (Compile.plan t.compiled (Literal.pos sym)).Compile.guard in
-        let know = Actor.knowledge actor in
-        (match
-           match Gtable.status_hint g know with
-           | Some s -> s
-           | None -> Knowledge.status know g
-         with
-        | Knowledge.False -> t.uncontrollable <- t.uncontrollable + 1
-        | _ -> ());
-        fire t (Literal.pos sym)
-      end
+      Runtime.attempt rt agent sym attr
 
-let nonempty_queues t = List.map fst (PairMap.bindings t.queues)
+let deliver_head (rt : Runtime.t) queues ((_, dst) as key) =
+  match Option.bind (PairMap.find_opt key !queues) Dq.pop with
+  | None -> invalid_arg "Step_sched.do_deliver: empty queue"
+  | Some (msg, rest) ->
+      queues :=
+        if Dq.is_empty rest then PairMap.remove key !queues
+        else PairMap.add key rest !queues;
+      Wf_obs.Metrics.incr rt.stats "messages_delivered";
+      Runtime.deliver rt (Runtime.actor_of rt dst) (Actor.I_message msg)
+
+(* Deterministically drain everything pending: enabled attempts first
+   (sorted by instance), then queued deliveries in sorted pair order.
+   Budgeted so a pathological spec cannot hang the checker. *)
+let drain rt queues =
+  let rec go budget =
+    if budget > 0 then
+      match enabled rt with
+      | instance :: _ ->
+          attempt rt instance;
+          go (budget - 1)
+      | [] -> (
+          match PairMap.min_binding_opt !queues with
+          | Some (key, _) ->
+              deliver_head rt queues key;
+              go (budget - 1)
+          | None -> ())
+  in
+  go 200_000
+
+let enabled_attempts t = enabled t.rt
+let do_attempt t instance = attempt t.rt instance
+let nonempty_queues t = List.map fst (PairMap.bindings !(t.queues))
 
 let queue_head t key =
-  match PairMap.find_opt key t.queues with
+  match PairMap.find_opt key !(t.queues) with
   | Some q -> Dq.peek q
   | None -> None
 
-let do_deliver t ((_, dst) as key) =
-  match Option.bind (PairMap.find_opt key t.queues) Dq.pop with
-  | None -> invalid_arg "Step_sched.do_deliver: empty queue"
-  | Some (msg, rest) ->
-      t.queues <-
-        (if Dq.is_empty rest then PairMap.remove key t.queues
-         else PairMap.add key rest t.queues);
-      Wf_obs.Metrics.incr t.stats "messages_delivered";
-      deliver t (actor_of t dst) (Actor.I_message msg)
-
-(* Rebuild a crashed actor from its journal: fresh instance from the
-   spec-derived seed, restore the latest checkpoint, replay the suffix
-   with side effects muted — [Event_sched.recover_actor]. *)
-let recover_actor t sym =
-  let js = Hashtbl.find t.journals sym in
-  let fresh = (Hashtbl.find t.actor_seeds sym) () in
-  let ckpt, suffix = Wf_store.Journal.recover js.j in
-  (match ckpt with Some s -> Actor.restore fresh s | None -> ());
-  let mctx = Actor.muted_ctx t.replay_stats in
-  List.iter (fun input -> Actor.apply mctx fresh input) suffix;
-  Hashtbl.replace t.actors sym fresh;
-  Wf_obs.Metrics.incr t.stats "actor_recoveries";
-  Wf_obs.Metrics.add t.stats "replayed_entries" (List.length suffix)
-
-let hosted_symbols t site =
-  List.filter (fun sym -> Workflow_def.site_of t.wf sym = site) t.symbols
+let do_deliver t key = deliver_head t.rt t.queues key
 
 let do_crash t site =
   if site < 0 || site >= t.nsites then
     invalid_arg "Step_sched.do_crash: site out of range";
   t.crashes <- t.crashes + 1;
   t.epochs.(site) <- t.epochs.(site) + 1;
-  Wf_obs.Metrics.incr t.stats "net_crashes";
-  Wf_obs.Metrics.incr t.stats "net_restarts";
-  let hosted = hosted_symbols t site in
-  List.iter (fun sym -> recover_actor t sym) hosted;
-  (* Actor-level handshake: an undecided recovered actor pings the peers
-     it watches; a peer with a decided fate re-announces it. *)
-  let epoch = t.epochs.(site) in
-  List.iter
-    (fun sym ->
-      let actor = actor_of t sym in
-      if Actor.decided actor = None then
-        Symbol.Set.iter
-          (fun peer ->
-            if
-              Hashtbl.mem t.actors peer
-              && not (Knowledge.decided (Actor.knowledge actor) peer)
-            then begin
-              enqueue t ~src:sym ~dst:peer (Messages.Recovered { sym; epoch });
-              Wf_obs.Metrics.incr t.stats "msg_recovered"
-            end)
-          (Actor.watched_symbols actor))
-    hosted
+  Wf_obs.Metrics.incr t.rt.stats "net_crashes";
+  Wf_obs.Metrics.incr t.rt.stats "net_restarts";
+  Runtime.recover t.rt site ~epoch:t.epochs.(site)
 
 (* Torn-write soundness probe.  One actor's journal content (latest
    checkpoint + suffix) is re-serialized through the binary codec onto a
@@ -322,16 +145,10 @@ let do_crash t site =
    journal recovery rebuilds: the torn frame's input was never applied,
    so losing it must lose nothing. *)
 let torn_recovery_ok t sym =
-  let js = Hashtbl.find t.journals sym in
-  let ckpt, suffix = Wf_store.Journal.recover js.j in
-  let rebuild ck sfx =
-    let fresh = (Hashtbl.find t.actor_seeds sym) () in
-    (match ck with Some s -> Actor.restore fresh s | None -> ());
-    let mctx = Actor.muted_ctx t.replay_stats in
-    List.iter (fun input -> Actor.apply mctx fresh input) sfx;
-    fresh
+  let ckpt, suffix =
+    Wf_store.Journal.recover (Hashtbl.find t.rt.journals sym).j
   in
-  let reference = rebuild ckpt suffix in
+  let reference = Runtime.replay t.rt sym (ckpt, suffix) in
   let synced_frames =
     (match ckpt with Some _ -> 1 | None -> 0) + List.length suffix
   in
@@ -354,14 +171,14 @@ let torn_recovery_ok t sym =
         Wf_store.Log.recover Actor.codec (Wf_store.Media.Sim.device sim)
       in
       report.Wf_store.Log.sr_frames = synced_frames
-      && Actor.equal_state reference (rebuild ckpt' suffix'))
+      && Actor.equal_state reference (Runtime.replay t.rt sym (ckpt', suffix')))
     keeps
 
 let do_crash_torn t site =
   if site < 0 || site >= t.nsites then
     invalid_arg "Step_sched.do_crash_torn: site out of range";
   let ok =
-    List.for_all (fun sym -> torn_recovery_ok t sym) (hosted_symbols t site)
+    List.for_all (fun sym -> torn_recovery_ok t sym) (Runtime.hosted t.rt site)
   in
   do_crash t site;
   ok
@@ -377,7 +194,7 @@ type snapshot = {
   s_epochs : int array;
   s_decided : Symbol.Set.t;
   s_seqno : int;
-  s_occurrences : (Literal.t * int) list;
+  s_occurrences : Runtime.occurrence list;
   s_rejected : Literal.t list;
   s_forced : int;
   s_uncontrollable : int;
@@ -385,57 +202,63 @@ type snapshot = {
 }
 
 let snapshot t =
+  let rt = t.rt in
   {
     s_actors =
-      List.map (fun sym -> (sym, Actor.snapshot (actor_of t sym))) t.symbols;
+      List.map
+        (fun sym -> (sym, Actor.snapshot (Runtime.actor_of rt sym)))
+        rt.symbols;
     s_journals =
       List.map
         (fun sym ->
-          (sym, Wf_store.Journal.copy (Hashtbl.find t.journals sym).j))
-        t.symbols;
+          (sym, Wf_store.Journal.copy (Hashtbl.find rt.journals sym).j))
+        rt.symbols;
     s_agents =
       List.map
-        (fun i -> (i, Agent.snapshot (Hashtbl.find t.agents i)))
-        t.instances;
-    s_queues = t.queues;
+        (fun i -> (i, Agent.snapshot (Hashtbl.find rt.tasks.agents i)))
+        rt.tasks.instances;
+    s_queues = !(t.queues);
     s_pending =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) rt.pending_trigger_complements
         [];
     s_epochs = Array.copy t.epochs;
-    s_decided = t.decided;
-    s_seqno = t.seqno;
-    s_occurrences = t.occurrences;
-    s_rejected = t.rejected;
-    s_forced = t.forced;
-    s_uncontrollable = t.uncontrollable;
+    s_decided = rt.decided;
+    s_seqno = rt.seqno;
+    s_occurrences = rt.occurrences;
+    s_rejected = rt.rejected;
+    s_forced = rt.forced;
+    s_uncontrollable = rt.uncontrollable;
     s_crashes = t.crashes;
   }
 
 let restore t s =
-  List.iter (fun (sym, sa) -> Actor.restore (actor_of t sym) sa) s.s_actors;
+  let rt = t.rt in
+  List.iter
+    (fun (sym, sa) -> Actor.restore (Runtime.actor_of rt sym) sa)
+    s.s_actors;
   (* Re-copy on every restore so the snapshot stays pristine: one
      snapshot seeds many branches. *)
   List.iter
     (fun (sym, j) ->
-      let js = Hashtbl.find t.journals sym in
+      let js = Hashtbl.find rt.journals sym in
       js.j <- Wf_store.Journal.copy j;
       js.depth <- 0)
     s.s_journals;
   List.iter
-    (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa)
+    (fun (i, sa) -> Agent.restore (Hashtbl.find rt.tasks.agents i) sa)
     s.s_agents;
-  t.queues <- s.s_queues;
-  Hashtbl.reset t.pending_trigger_complements;
+  t.queues := s.s_queues;
+  Hashtbl.reset rt.pending_trigger_complements;
   List.iter
-    (fun (k, v) -> Hashtbl.replace t.pending_trigger_complements k v)
+    (fun (k, v) -> Hashtbl.replace rt.pending_trigger_complements k v)
     s.s_pending;
   Array.blit s.s_epochs 0 t.epochs 0 (Array.length t.epochs);
-  t.decided <- s.s_decided;
-  t.seqno <- s.s_seqno;
-  t.occurrences <- s.s_occurrences;
-  t.rejected <- s.s_rejected;
-  t.forced <- s.s_forced;
-  t.uncontrollable <- s.s_uncontrollable;
+  rt.decided <- s.s_decided;
+  rt.seqno <- s.s_seqno;
+  rt.occurrences <- s.s_occurrences;
+  rt.rejected <- s.s_rejected;
+  rt.forced <- s.s_forced;
+  rt.uncontrollable <- s.s_uncontrollable;
   t.crashes <- s.s_crashes
 
 module F = Fingerprint
@@ -459,16 +282,18 @@ let fp_msg h (m : Messages.t) =
   | Messages.Recovered { sym; epoch } -> F.int (fp_sym (F.int h 8) sym) epoch
 
 let fingerprint t =
+  let rt = t.rt in
   let h = F.init in
   (* Actors and agents in their fixed sorted orders. *)
   let h =
-    List.fold_left (fun h sym -> F.int h (Actor.fingerprint (actor_of t sym))) h
-      t.symbols
+    List.fold_left
+      (fun h sym -> F.int h (Actor.fingerprint (Runtime.actor_of rt sym)))
+      h rt.symbols
   in
   let h =
     List.fold_left
-      (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find t.agents i)))
-      h t.instances
+      (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find rt.tasks.agents i)))
+      h rt.tasks.instances
   in
   let h =
     PairMap.fold
@@ -476,15 +301,15 @@ let fingerprint t =
         (* Fold in logical (oldest-first) order so two states whose
            deques differ only in front/back split fingerprint alike. *)
         F.list fp_msg (fp_sym (fp_sym h src) dst) (Dq.to_list q))
-      t.queues h
+      !(t.queues) h
   in
   let h =
     List.fold_left
-      (fun h (lit, seqno) -> F.int (fp_lit h lit) seqno)
-      (F.int h (List.length t.occurrences))
-      t.occurrences
+      (fun h (o : Runtime.occurrence) -> F.int (fp_lit h o.lit) o.seqno)
+      (F.int h (List.length rt.occurrences))
+      rt.occurrences
   in
-  let h = F.list fp_lit h t.rejected in
+  let h = F.list fp_lit h rt.rejected in
   let h =
     List.fold_left
       (fun h (sym, cs) -> F.list fp_lit (fp_sym h sym) cs)
@@ -492,267 +317,41 @@ let fingerprint t =
       (List.sort
          (fun (a, _) (b, _) -> Symbol.compare a b)
          (Hashtbl.fold (fun k v acc -> (k, v) :: acc)
-            t.pending_trigger_complements []))
+            rt.pending_trigger_complements []))
   in
   let h = Array.fold_left F.int h t.epochs in
-  let h = Symbol.Set.fold (fun s h -> fp_sym h s) t.decided h in
-  F.int (F.int (F.int (F.int h t.seqno) t.forced) t.uncontrollable) t.crashes
+  let h = Symbol.Set.fold (fun s h -> fp_sym h s) rt.decided h in
+  F.int (F.int (F.int (F.int h rt.seqno) rt.forced) rt.uncontrollable) t.crashes
 
 (* {2 Build} *)
 
-let build ?(checkpoint_every = 32) ?(guard_overrides = []) wf =
+let build ?checkpoint_every ?guard_overrides wf =
   (match Workflow_def.validate wf with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Step_sched.build: " ^ msg));
-  let deps = Workflow_def.dependencies wf in
-  let compiled = Compile.compile deps in
   let nsites = Workflow_def.num_sites wf in
-  (* Agents. *)
-  let agents = Hashtbl.create 16 in
-  let agent_of_symbol = Hashtbl.create 64 in
-  List.iter
-    (fun (task : Workflow_def.task) ->
-      let agent =
-        Agent.create ~instance:task.instance ~model:task.model
-          ~script:task.script ~parametrize:task.parametrize ()
-      in
-      Hashtbl.replace agents task.instance agent;
-      List.iter
-        (fun (ev, _, _) ->
-          let sym =
-            Task_model.symbol_of_event task.model ~instance:task.instance ev
-          in
-          Hashtbl.replace agent_of_symbol sym task.instance)
-        task.model.Task_model.significant)
-    wf.Workflow_def.tasks;
-  let instances =
-    List.sort String.compare
-      (List.map (fun (task : Workflow_def.task) -> task.instance)
-         wf.Workflow_def.tasks)
+  let queues = ref PairMap.empty in
+  (* Announcements and handshakes are queued, not delivered: the
+     propagation order is the caller's to choose. *)
+  let send ~src ~dst ~priority:_ msg =
+    let key = (src, dst) in
+    let q = Option.value (PairMap.find_opt key !queues) ~default:Dq.empty in
+    queues := PairMap.add key (Dq.push q msg) !queues
   in
-  (* The symbols needing actors: dependency alphabet plus all task
-     events (unmentioned ones get guard ⊤). *)
-  let symbol_set =
-    Hashtbl.fold
-      (fun sym _ acc -> Symbol.Set.add sym acc)
-      agent_of_symbol (Compile.alphabet compiled)
-  in
-  let symbols = Symbol.Set.elements symbol_set in
-  let t =
+  let transport rt =
     {
-      wf;
-      compiled;
-      nsites;
-      stats = Wf_obs.Metrics.create ();
-      replay_stats = Wf_obs.Metrics.create ();
-      actors = Hashtbl.create 64;
-      ctxs = Hashtbl.create 64;
-      journals = Hashtbl.create 64;
-      actor_seeds = Hashtbl.create 64;
-      agents;
-      instances;
-      symbols;
-      agent_of_symbol;
-      subscriptions = Hashtbl.create 64;
-      pending_trigger_complements = Hashtbl.create 8;
-      epochs = Array.make (max nsites 1) 0;
-      queues = PairMap.empty;
-      decided = Symbol.Set.empty;
-      seqno = 0;
-      occurrences = [];
-      rejected = [];
-      forced = 0;
-      uncontrollable = 0;
-      crashes = 0;
+      Runtime.send;
+      settle = (fun () -> drain rt queues);
+      now = (fun () -> 0.0);
+      agent_ready = ignore;
     }
   in
-  let guard_for lit =
-    match
-      List.find_opt (fun (l, _) -> Literal.equal l lit) guard_overrides
-    with
-    | Some (_, g) -> g
-    | None -> (Compile.plan compiled lit).Compile.guard
+  let rt =
+    Runtime.build ?checkpoint_every ?guard_overrides
+      ~stats:(Wf_obs.Metrics.create ()) ~transport wf
   in
-  (* Demand automata for triggerable events. *)
-  let automata = List.map (fun d -> (d, Automaton.build d)) deps in
-  List.iter
-    (fun sym ->
-      let attr = Workflow_def.attribute_of wf sym in
-      let attr_pos = attr in
-      let attr_neg = Attribute.uncontrollable in
-      let plan_pos = Compile.plan compiled (Literal.pos sym) in
-      let plan_neg = Compile.plan compiled (Literal.neg sym) in
-      let demand_automata =
-        if attr.Attribute.triggerable then
-          List.filter_map
-            (fun (d, aut) ->
-              if Literal.Set.mem (Literal.pos sym) (Expr.literals d) then
-                Some aut
-              else None)
-            automata
-        else []
-      in
-      let seed () =
-        Actor.create ~sym ~site:(Workflow_def.site_of wf sym)
-          ~guard_pos:(guard_for (Literal.pos sym))
-          ~guard_neg:(guard_for (Literal.neg sym))
-          ~attr_pos ~attr_neg ~demand_automata ()
-      in
-      Hashtbl.replace t.actors sym (seed ());
-      Hashtbl.replace t.actor_seeds sym seed;
-      Hashtbl.replace t.journals sym
-        { j = Wf_store.Journal.create ~checkpoint_every (); depth = 0 };
-      (* Subscriptions: guard symbols of both polarities, the full
-         alphabet of the demand automata, and the guards of complements
-         the owning task's transitions may entail — [Event_sched]'s
-         computation verbatim. *)
-      let watch =
-        Symbol.Set.union plan_pos.Compile.watched plan_neg.Compile.watched
-      in
-      let watch =
-        match Workflow_def.owner_of wf sym with
-        | None -> watch
-        | Some task -> (
-            let model = task.Workflow_def.model in
-            match
-              Task_model.event_of_symbol model
-                ~instance:task.Workflow_def.instance
-                (Symbol.make (Symbol.base sym))
-            with
-            | None -> watch
-            | Some ev ->
-                List.fold_left
-                  (fun acc (tr : Task_model.transition) ->
-                    if tr.Task_model.event <> ev then acc
-                    else
-                      let before =
-                        Task_model.unreachable_events model
-                          tr.Task_model.from_state
-                      in
-                      let after =
-                        Task_model.unreachable_events model
-                          tr.Task_model.to_state
-                      in
-                      List.fold_left
-                        (fun acc gone ->
-                          if List.mem gone before then acc
-                          else
-                            let gone_sym =
-                              Task_model.symbol_of_event model
-                                ~instance:task.Workflow_def.instance gone
-                            in
-                            Symbol.Set.union acc
-                              (Compile.plan compiled (Literal.neg gone_sym))
-                                .Compile.watched)
-                        acc after)
-                  watch model.Task_model.transitions)
-      in
-      let watch =
-        List.fold_left
-          (fun acc aut ->
-            List.fold_left
-              (fun acc l -> Symbol.Set.add (Literal.symbol l) acc)
-              acc (Automaton.alphabet aut))
-          watch demand_automata
-      in
-      Symbol.Set.iter
-        (fun watched_sym ->
-          if not (Symbol.equal watched_sym sym) then
-            let current =
-              Option.value
-                (Hashtbl.find_opt t.subscriptions watched_sym)
-                ~default:Symbol.Set.empty
-            in
-            Hashtbl.replace t.subscriptions watched_sym
-              (Symbol.Set.add sym current))
-        watch)
-    symbols;
-  t
+  { rt; nsites; epochs = Array.make (max nsites 1) 0; queues; crashes = 0 }
 
 (* {2 Closing} *)
 
-(* Deterministically drain everything pending: enabled attempts first
-   (sorted by instance), then queued deliveries in sorted pair order.
-   Budgeted so a pathological spec cannot hang the checker. *)
-let drain t =
-  let budget = ref 200_000 in
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    decr budget;
-    match enabled_attempts t with
-    | instance :: _ -> do_attempt t instance
-    | [] -> (
-        match nonempty_queues t with
-        | key :: _ -> do_deliver t key
-        | [] -> continue_ := false)
-  done
-
-let close_round t =
-  (* Emit complements of events that can no longer occur. *)
-  let progress = ref false in
-  List.iter
-    (fun instance ->
-      let agent = Hashtbl.find t.agents instance in
-      if Agent.finished agent then
-        List.iter
-          (fun c ->
-            let sym = Literal.symbol c in
-            if
-              Hashtbl.mem t.actors sym
-              && (not (decided_globally t sym))
-              && Actor.parked_count (actor_of t sym) = 0
-            then begin
-              fire t c;
-              progress := true
-            end)
-          (Agent.undecided_complements agent))
-    t.instances;
-  !progress
-
-let rec close_rounds t budget =
-  if budget > 0 && close_round t then begin
-    drain t;
-    close_rounds t (budget - 1)
-  end
-
-let final_close t =
-  (* Reject whatever is still parked — one symbol at a time, lowest
-     first, letting each rejection's consequences propagate. *)
-  let rec reject_loop budget =
-    if budget > 0 then begin
-      let parked =
-        List.filter (fun sym -> Actor.parked_count (actor_of t sym) > 0)
-          t.symbols
-      in
-      match parked with
-      | [] -> ()
-      | sym :: _ ->
-          deliver t (actor_of t sym) Actor.I_close;
-          drain t;
-          close_rounds t 16;
-          reject_loop (budget - 1)
-    end
-  in
-  reject_loop 256;
-  (* Then decide leftover symbols negatively so the realized trace is
-     maximal, again letting each round settle. *)
-  let rec neg_loop budget =
-    let undecided =
-      List.filter (fun sym -> not (decided_globally t sym)) t.symbols
-    in
-    match undecided with
-    | [] -> ()
-    | sym :: _ when budget > 0 ->
-        fire t (Literal.neg sym);
-        drain t;
-        close_rounds t 16;
-        reject_loop 64;
-        neg_loop (budget - 1)
-    | _ -> ()
-  in
-  neg_loop 1024
-
-let run_closing t =
-  drain t;
-  close_rounds t 64;
-  final_close t
+let run_closing t = Runtime.close t.rt

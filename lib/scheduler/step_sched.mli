@@ -1,18 +1,19 @@
 open Wf_core
 
-(** A step-controllable twin of {!Event_sched} for the exhaustive model
-    checker.
+(** The step-controllable transport of {!Runtime}, for the exhaustive
+    model checker.
 
-    {!Event_sched} drives the guard actors through the virtual-time
-    network: latencies and fault draws pick one interleaving per seed.
-    [Step_sched] removes the network entirely.  Protocol messages sit in
-    explicit per-(sender, receiver) FIFO queues, agent attempts wait
-    until asked for, and every transition — deliver one queued message,
-    let one agent attempt its next event, crash-and-recover one site —
-    happens only when the caller performs it.  The caller (the checker's
-    DFS in [Wf_check.Mc]) thus owns the schedule and can enumerate every
-    interleaving, using {!snapshot}/{!restore} to backtrack and
-    {!fingerprint} to recognize already-visited states.
+    {!Event_sched} runs the runtime over the virtual-time network:
+    latencies and fault draws pick one interleaving per seed.
+    [Step_sched] runs the same runtime with no network.  Protocol
+    messages sit in explicit per-(sender, receiver) FIFO queues, agent
+    attempts wait until asked for, and every transition — deliver one
+    queued message, let one agent attempt its next event,
+    crash-and-recover one site — happens only when the caller performs
+    it.  The caller (the checker's DFS in [Wf_check.Mc]) thus owns the
+    schedule and can enumerate every interleaving, using
+    {!snapshot}/{!restore} to backtrack and {!fingerprint} to recognize
+    already-visited states.
 
     The message model is {e per ordered actor pair} FIFO.  This is
     slightly weaker than the channel layer's per-site-link FIFO (two
@@ -21,13 +22,13 @@ open Wf_core
     divergence found here that replays on the simulator is real, and a
     clean exhaustive run covers every simulator schedule.
 
-    Crashes are atomic crash-and-recover transitions: the site's hosted
-    actors are rebuilt from their journals (checkpoint + muted suffix
-    replay, exactly {!Event_sched}'s recovery path) and the epoch
-    handshake messages are enqueued.  In-flight messages to the site
-    survive in their queues — the channel's retransmission layer
-    guarantees delivery past a crash window, so the post-recovery
-    delivery is the behaviour being modelled. *)
+    Crashes are atomic crash-and-recover transitions: the runtime
+    rebuilds the site's hosted actors from their journals (checkpoint +
+    muted suffix replay, the path {!Event_sched} runs) and enqueues the
+    epoch handshake messages.  In-flight messages to the site survive
+    in their queues — the channel's retransmission layer guarantees
+    delivery past a crash window, so the post-recovery delivery is the
+    behaviour being modelled. *)
 
 type t
 
@@ -37,7 +38,7 @@ val build :
   Wf_tasks.Workflow_def.t ->
   t
 (** Compile the workflow and set up actors, agents, journals, and
-    subscriptions — {!Event_sched.build} without the network.
+    subscriptions ({!Runtime.build}) over empty queues.
     [guard_overrides] substitutes the synthesized guard of the given
     literals at actor creation; the test suite uses it to plant a wrong
     guard and watch the checker catch the divergence. *)
@@ -102,8 +103,8 @@ val fingerprint : t -> int
 (** {2 Terminal states} *)
 
 val run_closing : t -> unit
-(** Deterministic end-of-run closing, mirroring {!Event_sched.run}'s
-    tail: drain all queues and pending attempts in sorted order, then
+(** The runtime's end-of-run closing, the one {!Event_sched.run} ends
+    with: drain all queues and pending attempts in sorted order, then
     alternate complement-emission rounds, parked-attempt rejection
     (lowest symbol first), and negative decisions for leftover symbols
     until every symbol is decided.  Called on a snapshot of each

@@ -3,7 +3,9 @@
    mc_* explorations; this suite runs the expensive ones — the paper's
    travel example exhaustively, the full naive-vs-DPOR agreement check
    on mc_indep, and deeper crash bounds — that would bloat `dune
-   runtest` past its edit-compile-test budget. *)
+   runtest` past its edit-compile-test budget.  Each exploration's state
+   count is pinned: the runtime it explores is the one the simulator
+   runs, so a count that moves means the scheduler's behaviour moved. *)
 
 open Wf_core
 module Mc = Wf_check.Mc
@@ -20,10 +22,13 @@ let load name =
   (Wf_lang.Elaborate.load_file (Filename.concat "../../specs" name))
     .Wf_lang.Elaborate.def
 
-let expect_clean name (r : Mc.report) =
+let expect_clean name ~states (r : Mc.report) =
   say "%s [%s]: %d states, %d runs, %d recoveries" name r.Mc.r_mode
     r.Mc.r_states r.Mc.r_traces r.Mc.r_recoveries;
   if not r.Mc.r_complete then fail "%s: exploration incomplete" name;
+  if r.Mc.r_states <> states then
+    fail "%s [%s]: %d states, pinned at %d" name r.Mc.r_mode r.Mc.r_states
+      states;
   List.iter
     (fun (d : Mc.divergence) ->
       fail "%s: divergence [%s] %s" name d.Mc.d_kind d.Mc.d_detail)
@@ -44,15 +49,19 @@ let () =
   (* The paper's running example, exhaustively: every interleaving of
      the travel workflow satisfies its dependencies. *)
   let _ =
-    expect_clean "travel.wf" (Mc.check ~spec_name:"travel.wf" (load "travel.wf"))
+    expect_clean "travel.wf" ~states:64672
+      (Mc.check ~spec_name:"travel.wf" (load "travel.wf"))
   in
 
   (* Full verdict agreement between naive enumeration and the
      reduction, on the spec built to maximize their gap. *)
   let wf = load "mc_indep.wf" in
-  let dpor = expect_clean "mc_indep.wf" (Mc.check ~spec_name:"mc_indep.wf" wf) in
+  let dpor =
+    expect_clean "mc_indep.wf" ~states:8893
+      (Mc.check ~spec_name:"mc_indep.wf" wf)
+  in
   let naive =
-    expect_clean "mc_indep.wf"
+    expect_clean "mc_indep.wf" ~states:103899
       (Mc.check ~dpor:false ~spec_name:"mc_indep.wf" wf)
   in
   say "reduction ratio: %.1fx"
@@ -67,15 +76,15 @@ let () =
 
   (* Crash exploration beyond the quick tier's depth-1 pin. *)
   let _ =
-    expect_clean "mc_pair.wf@2"
+    expect_clean "mc_pair.wf@2" ~states:2858
       (Mc.check ~crash_depth:2 ~spec_name:"mc_pair.wf" (load "mc_pair.wf"))
   in
   let _ =
-    expect_clean "mc_trigger.wf@1"
+    expect_clean "mc_trigger.wf@1" ~states:2921
       (Mc.check ~crash_depth:1 ~spec_name:"mc_trigger.wf" (load "mc_trigger.wf"))
   in
   let _ =
-    expect_clean "mc_indep.wf@1"
+    expect_clean "mc_indep.wf@1" ~states:178556
       (Mc.check ~crash_depth:1 ~max_states:2_000_000
          ~spec_name:"mc_indep.wf" (load "mc_indep.wf"))
   in

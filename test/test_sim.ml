@@ -1,4 +1,4 @@
-(* The simulation substrate: heap, RNG, stats, and the network. *)
+(* The simulation substrate: heap, RNG, and the network. *)
 
 open Wf_sim
 open Helpers
@@ -139,25 +139,6 @@ let test_rng_exponential_mean () =
   done;
   let mean = !total /. float_of_int n in
   checkb "mean near 5" (mean > 4.5 && mean < 5.5)
-
-let test_stats () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.add s "a" 2;
-  check Alcotest.int "counter" 3 (Stats.count s "a");
-  check Alcotest.int "missing counter" 0 (Stats.count s "b");
-  List.iter (fun x -> Stats.observe s "lat" x) [ 1.0; 2.0; 3.0; 4.0 ];
-  (match Stats.summarize s "lat" with
-  | Some sum ->
-      check Alcotest.int "n" 4 sum.Stats.n;
-      check (Alcotest.float 0.001) "mean" 2.5 sum.Stats.mean;
-      check (Alcotest.float 0.001) "min" 1.0 sum.Stats.min;
-      check (Alcotest.float 0.001) "max" 4.0 sum.Stats.max
-  | None -> Alcotest.fail "summary expected");
-  let s2 = Stats.create () in
-  Stats.incr s2 "a";
-  let merged = Stats.merge s s2 in
-  check Alcotest.int "merged counter" 4 (Stats.count merged "a")
 
 let test_netsim_delivery () =
   let net =
@@ -348,7 +329,6 @@ let suite =
     Alcotest.test_case "rng pick uniformity (chi-square)" `Slow
       test_rng_pick_uniform;
     Alcotest.test_case "rng exponential mean" `Slow test_rng_exponential_mean;
-    Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "netsim delivery" `Quick test_netsim_delivery;
     Alcotest.test_case "netsim FIFO under jitter" `Quick test_netsim_fifo;
     Alcotest.test_case "netsim timed actions" `Quick test_netsim_schedule;
