@@ -971,13 +971,13 @@ let bench_fastpath () =
 (* --- CORE: hash-consed symbolic core vs the naive oracle --------------------- *)
 
 (* Before/after measurements of the interned + memoized kernels against
-   the naive reference paths they replaced.  "Naive" runs with
-   [Intern.set_enabled false], which routes residuation, guard
-   synthesis, and automaton construction through the oracle
-   implementations; "optimized" clears the derived memo tables before
-   every iteration, so each sample is a cold full-workload computation —
-   the ratio shows sharing {e within} one workload, not cache hits
-   across bench iterations (which would flatter the optimized side). *)
+   the naive reference paths they replaced.  "Naive" calls the oracle
+   implementations by name ([Synth.guard_nf_naive],
+   [Automaton.build_naive]); "optimized" clears the derived memo tables
+   before every iteration, outside the timed region, so each sample is
+   a cold full-workload computation — the ratio shows sharing {e within}
+   one workload, not cache hits across bench iterations (which would
+   flatter the optimized side) nor the table resets themselves. *)
 
 type core_row = {
   bench : string;
@@ -1010,12 +1010,6 @@ let pp_words w =
   else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
   else Printf.sprintf "%.0fw" w
 
-let with_intern enabled fn =
-  let prev = Intern.enabled () in
-  Intern.set_enabled enabled;
-  Intern.clear_memos ();
-  Fun.protect ~finally:(fun () -> Intern.set_enabled prev) fn
-
 (* Bechamel's OLS needs long steady runs to converge; on a shared
    machine its estimates for millisecond-scale workloads swing by
    several x between invocations.  The CORE rows instead report the
@@ -1038,36 +1032,55 @@ let min_ns ~budget fn =
   done;
   !best
 
+let emit_core rows row =
+  rows := row :: !rows;
+  Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" row.bench
+    row.config (pp_ns row.naive_ns) (pp_ns row.opt_ns) (speedup row)
+    (pp_words row.minor_words) (pp_words row.major_words)
+
 (* The two legs alternate rep by rep, so contention windows longer than
    a single rep degrade both sides equally instead of skewing the ratio. *)
-let core_bench ~budget ~rows ~bench ~config work =
-  let work () = ignore (work ()) in
-  let naive () = with_intern false work in
-  let opt () =
-    with_intern true (fun () ->
-        Intern.clear_memos ();
-        work ())
+let core_bench ~budget ~rows ~bench ~config ~naive work =
+  let naive () = ignore (naive ()) in
+  let opt () = ignore (work ()) in
+  let time_opt () =
+    Intern.clear_memos ();
+    time_once opt
   in
   naive ();
   opt ();
   let best_n = ref (Float.max (time_once naive) 1.0) in
-  let best_o = ref (Float.max (time_once opt) 1.0) in
+  let best_o = ref (Float.max (time_opt ()) 1.0) in
   let reps = max 3 (min 25 (int_of_float (budget /. (!best_n +. !best_o)))) in
   for _ = 2 to reps do
     let t = time_once naive in
     if t < !best_n then best_n := t;
-    let t = time_once opt in
+    let t = time_opt () in
     if t < !best_o then best_o := t
   done;
+  Intern.clear_memos ();
   let minor_words, major_words = alloc_words opt in
-  let row =
+  emit_core rows
     { bench; config; naive_ns = !best_n; opt_ns = !best_o;
       minor_words; major_words }
+
+(* [Synth.all_guards] on the memo-free oracle: per dependency one normal
+   form, per literal the conjunction of its naive guards. *)
+let naive_all_guards deps =
+  let nfs = List.map (fun d -> (Expr.literals d, Nf.of_expr d)) deps in
+  let lits =
+    List.fold_left (fun acc (ls, _) -> Literal.Set.union acc ls)
+      Literal.Set.empty nfs
   in
-  rows := row :: !rows;
-  Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" bench config
-    (pp_ns !best_n) (pp_ns !best_o) (speedup row) (pp_words minor_words)
-    (pp_words major_words)
+  List.map
+    (fun l ->
+      Guard.conj_all
+        (List.filter_map
+           (fun (ls, nf) ->
+             if Literal.Set.mem l ls then Some (Synth.guard_nf_naive nf l)
+             else None)
+           nfs))
+    (Literal.Set.elements lits)
 
 (* Three synthetic dependency families of growing width: chains
    x0.x1...xn (long sequential residuation), fan-ins (x0 & ... & xn).fin
@@ -1116,8 +1129,6 @@ let bench_core ~smoke () =
   let grids = if smoke then [ 2 ] else [ 3; 4; 5 ] in
   let cubes = if smoke then [] else [ 2; 3 ] in
   let overlaps = if smoke then [ 2 ] else [ 2; 4; 6 ] in
-  let runs = if smoke then [ 1 ] else [ 2; 5 ] in
-  let noise = if smoke then 16 else 64 in
   let rows = ref [] in
   Printf.printf "%-18s %-14s %12s %12s %8s %10s %10s\n" "bench" "config"
     "naive" "optimized" "speedup" "opt-minor" "opt-major";
@@ -1128,10 +1139,12 @@ let bench_core ~smoke () =
       (fun n ->
         let d = mk n in
         let config = Printf.sprintf "%s-%d" fam n in
-        core_bench ~budget ~rows ~bench:"guard-synthesis" ~config (fun () ->
-            ignore (Synth.all_guards [ d ]));
-        core_bench ~budget ~rows ~bench:"automaton-build" ~config (fun () ->
-            ignore (Automaton.build d)))
+        core_bench ~budget ~rows ~bench:"guard-synthesis" ~config
+          ~naive:(fun () -> naive_all_guards [ d ])
+          (fun () -> Synth.all_guards [ d ]);
+        core_bench ~budget ~rows ~bench:"automaton-build" ~config
+          ~naive:(fun () -> Automaton.build_naive d)
+          (fun () -> Automaton.build d))
       widths
   in
   (* Family order makes the last row of each bench its widest: chains
@@ -1142,86 +1155,39 @@ let bench_core ~smoke () =
     (fun n ->
       let d = grid_dep n in
       core_bench ~budget ~rows ~bench:"automaton-build"
-        ~config:(Printf.sprintf "grid-%d" n) (fun () ->
-          ignore (Automaton.build d)))
+        ~config:(Printf.sprintf "grid-%d" n)
+        ~naive:(fun () -> Automaton.build_naive d)
+        (fun () -> Automaton.build d))
     grids;
   List.iter
     (fun k ->
       let deps = overlap_deps k in
       core_bench ~budget ~rows ~bench:"guard-synthesis"
-        ~config:(Printf.sprintf "overlap-%d" k) (fun () ->
-          ignore (Synth.all_guards deps)))
+        ~config:(Printf.sprintf "overlap-%d" k)
+        ~naive:(fun () -> naive_all_guards deps)
+        (fun () -> Synth.all_guards deps))
     overlaps;
   dep_benches fanin_dep "fanin" fanins;
   List.iter
     (fun n ->
       let d = cube_dep n in
       core_bench ~budget ~rows ~bench:"automaton-build"
-        ~config:(Printf.sprintf "cube-%d" n) (fun () ->
-          ignore (Automaton.build d)))
+        ~config:(Printf.sprintf "cube-%d" n)
+        ~naive:(fun () -> Automaton.build_naive d)
+        (fun () -> Automaton.build d))
     cubes;
-  List.iter
-    (fun n ->
-      let wf = travel_wf ~n () in
-      core_bench ~budget ~rows ~bench:"simulated-run"
-        ~config:(Printf.sprintf "travel-%d" n) (fun () ->
-          ignore (Event_sched.run wf)))
-    runs;
-  (* Indexed assimilation: a wide fan-in guard fed a stream that is
-     mostly announcements of symbols the guard never mentions — the
-     watch index skips them outright, the naive fold renormalizes the
-     whole sum every time. *)
-  let fanin_n = List.fold_left max 2 fanins in
-  let g0 =
-    with_intern true (fun () -> Synth.guard (fanin_dep fanin_n) (lit "fin"))
-  in
-  let news =
-    List.concat
-      (List.init noise (fun j ->
-           lit (Printf.sprintf "y%d" j)
-           ::
-           (if j < fanin_n then [ lit (Printf.sprintf "x%d" j) ] else [])))
-  in
-  let config = Printf.sprintf "fanin-%d+%dnoise" fanin_n noise in
-  let naive_ns =
-    min_ns ~budget (fun () ->
-        ignore
-          (List.fold_left (fun g x -> Guard.assimilate_occurred x g) g0 news))
-  in
-  let indexed_fold () =
-    ignore
-      (List.fold_left
-         (fun ix x -> Guard.Indexed.occurred x ix)
-         (Guard.Indexed.of_guard g0) news)
-  in
-  let opt_ns = min_ns ~budget indexed_fold in
-  let minor_words, major_words = alloc_words indexed_fold in
-  let row =
-    { bench = "assimilation"; config; naive_ns; opt_ns;
-      minor_words; major_words }
-  in
-  let emit row =
-    rows := row :: !rows;
-    Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" row.bench
-      row.config (pp_ns row.naive_ns) (pp_ns row.opt_ns) (speedup row)
-      (pp_words row.minor_words) (pp_words row.major_words)
-  in
-  emit row;
   (* Steady-state compiled assimilation: the full lifetime of a chain
-     guard, replayed symbol by symbol.  The symbolic leg is the indexed
-     fold the schedulers used before tables — each step residuates the
-     remaining chain — while the compiled leg walks the transition table
-     built once (and memoized) by Gtable.  The passes multiplier keeps
-     one sample well above clock resolution. *)
+     guard, replayed symbol by symbol.  The symbolic leg is the plain
+     assimilation fold the engines fall back on — each step residuates
+     the remaining chain — while the compiled leg walks the transition
+     table built once (and memoized) by Gtable.  The passes multiplier
+     keeps one sample well above clock resolution. *)
   let ga_chains = if smoke then [ 4 ] else [ 6; 10 ] in
   List.iter
     (fun n ->
       let d = chain_dep n in
-      let g0 =
-        with_intern true (fun () ->
-            Synth.guard d (lit (Printf.sprintf "x%d" (n - 1))))
-      in
-      match with_intern true (fun () -> Gtable.lookup g0) with
+      let g0 = Synth.guard d (lit (Printf.sprintf "x%d" (n - 1))) in
+      match Gtable.lookup g0 with
       | None ->
           (* Guards past the compile bound stay on the symbolic leg at
              runtime too; nothing to compare. *)
@@ -1234,8 +1200,8 @@ let bench_core ~smoke () =
         for _ = 1 to passes do
           ignore
             (List.fold_left
-               (fun ix x -> Guard.Indexed.occurred x ix)
-               (Guard.Indexed.of_guard g0) stream)
+               (fun g x -> Guard.assimilate_occurred x g)
+               g0 stream)
         done
       in
       let compiled () =
@@ -1249,7 +1215,7 @@ let bench_core ~smoke () =
       let naive_ns = min_ns ~budget symbolic in
       let opt_ns = min_ns ~budget compiled in
       let minor_words, major_words = alloc_words compiled in
-      emit
+      emit_core rows
         { bench = "guard-assimilation"; config = Printf.sprintf "chain-%d" n;
           naive_ns; opt_ns; minor_words; major_words })
     ga_chains;

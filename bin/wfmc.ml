@@ -60,9 +60,8 @@ let load path =
   end;
   def
 
-let run path crash_depth torn_writes max_states naive no_gtable classes
-    verbose json_file cex_file replay_file =
-  Gtable.set_enabled (not no_gtable);
+let run path crash_depth torn_writes max_states naive classes verbose
+    json_file cex_file replay_file =
   let path =
     match path with
     | Some p -> p
@@ -149,10 +148,6 @@ let naive =
   Arg.(value & flag & info [ "naive" ]
          ~doc:"Disable dynamic partial-order reduction (full enumeration with state dedup only); for measuring the reduction ratio.")
 
-let no_gtable =
-  Arg.(value & flag & info [ "no-gtable" ]
-         ~doc:"Evaluate guards with the symbolic residuation engine only, bypassing compiled transition tables; for differential debugging.")
-
 let classes =
   Arg.(value & flag & info [ "classes" ]
          ~doc:"Print the spec's coupling classes (the independence relation the reduction keys on) and exit.")
@@ -179,7 +174,7 @@ let cmd =
   in
   Cmd.v (Cmd.info "wfmc" ~doc)
     Term.(const run $ path $ crash_depth $ torn_writes $ max_states $ naive
-          $ no_gtable $ classes $ verbose $ json_file $ cex_file
+          $ classes $ verbose $ json_file $ cex_file
           $ replay_file)
 
 let () = Cmd.eval cmd |> exit

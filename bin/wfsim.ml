@@ -160,13 +160,12 @@ let validate_trace path =
       Format.eprintf "%s: INVALID trace: %s@." path e;
       1
 
-let run path scheduler seed latency jitter think verbose check_gen no_gtable
-    drop_rate duplicate_rate reorder_rate reorder_window partition_specs
+let run path scheduler seed latency jitter think verbose check_gen drop_rate
+    duplicate_rate reorder_rate reorder_window partition_specs
     crash_prob crash_on_send restart_delay max_crashes checkpoint_every
     store store_torn store_lost_tail store_bit_flip store_ckpt_corrupt
     store_max_faults mailbox_cap credit_window shed_watermark arrival_s
     fleet bindings trace_file chrome_file metrics_json validate =
-  Gtable.set_enabled (not no_gtable);
   match validate with
   | Some trace_path -> exit (validate_trace trace_path)
   | None ->
@@ -321,10 +320,6 @@ let think = Arg.(value & opt float 0.5 & info [ "think" ] ~doc:"Mean agent think
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print statistics.")
 let check_gen = Arg.(value & flag & info [ "check-generates" ] ~doc:"Also check Definition 4 (exponential in alphabet).")
 
-let no_gtable =
-  Arg.(value & flag & info [ "no-gtable" ]
-         ~doc:"Evaluate guards with the symbolic residuation engine only, bypassing compiled transition tables; for differential debugging.")
-
 let drop_rate =
   Arg.(value & opt float 0.0 & info [ "drop-rate" ] ~docv:"P"
          ~doc:"Probability that a remote message is silently dropped. The reliable channel retransmits until acknowledged.")
@@ -433,7 +428,7 @@ let cmd =
   let doc = "execute a workflow by distributed guard evaluation" in
   Cmd.v (Cmd.info "wfsim" ~doc)
     Term.(const run $ path $ scheduler $ seed $ latency $ jitter $ think
-          $ verbose $ check_gen $ no_gtable $ drop_rate $ duplicate_rate
+          $ verbose $ check_gen $ drop_rate $ duplicate_rate
           $ reorder_rate $ reorder_window $ partitions $ crash_prob
           $ crash_on_send $ restart_delay $ max_crashes $ checkpoint_every
           $ store $ store_torn $ store_lost_tail $ store_bit_flip

@@ -161,7 +161,7 @@ let build_naive d =
    structural miss with a small alphabet we still scan once for a
    semantic match, then record the interned id as an alias so every
    later structural equal is O(1). *)
-let build_fast d =
+let build d =
   let alpha_syms = Expr.symbols d in
   let alphabet = Literal.Set.elements (Expr.literals d) in
   let alpha = List.mapi (fun i l -> (i, l, Intern.literal l)) alphabet in
@@ -237,8 +237,6 @@ let build_fast d =
   let states = Array.sub !arr 0 !n in
   let edge_tbl = Array.of_list (List.rev !rows_rev) in
   finish ~small ~alpha_syms states alphabet edge_tbl
-
-let build d = if Intern.enabled () then build_fast d else build_naive d
 
 let transitions t =
   let acc = ref [] in

@@ -19,14 +19,14 @@ type t
 val build : Expr.t -> t
 (** Breadth-first residuation closure from the dependency, merging
     semantically equal states (exact over the dependency's alphabet).
-    When {!Intern.enabled}, states dedup through a hash table keyed on
-    the interned canonical form with a FIFO frontier; the result —
-    states, numbering, edges, flags — is identical to {!build_naive}. *)
+    States dedup through a hash table keyed on the interned canonical
+    form with a FIFO frontier; the result — states, numbering, edges,
+    flags — is identical to {!build_naive}. *)
 
 val build_naive : Expr.t -> t
 (** The original quadratic construction (linear-scan dedup, list-append
     frontier, memo-free residuation) — the differential-testing oracle
-    and the "before" leg of the benches. *)
+    and the "before" leg of [bench --scaling]. *)
 
 val initial : t -> state
 val state_nf : t -> state -> Nf.t

@@ -204,15 +204,6 @@ let compile ?(max_states = default_max_states) g0 =
 
 (* --- memoized lookup ----------------------------------------------------- *)
 
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let table_enabled () = !enabled_flag
-
-(* The compiled path rides the interned ids ({!Guard.uid}); when the
-   hash-consed engine is switched off (the differential naive leg) the
-   tables go with it. *)
-let active () = !enabled_flag && Intern.enabled ()
-
 let memo : (int, t option) Hashtbl.t = Hashtbl.create 256
 let compiled_states = ref 0
 let fallbacks = ref 0
@@ -224,18 +215,16 @@ let () =
       fallbacks := 0)
 
 let lookup g =
-  if not (active ()) then None
-  else
-    let uid = Guard.uid g in
-    match Hashtbl.find_opt memo uid with
-    | Some r -> r
-    | None ->
-        let r = compile g in
-        (match r with
-        | Some t -> compiled_states := !compiled_states + num_states t
-        | None -> incr fallbacks);
-        Hashtbl.add memo uid r;
-        r
+  let uid = Guard.uid g in
+  match Hashtbl.find_opt memo uid with
+  | Some r -> r
+  | None ->
+      let r = compile g in
+      (match r with
+      | Some t -> compiled_states := !compiled_states + num_states t
+      | None -> incr fallbacks);
+      Hashtbl.add memo uid r;
+      r
 
 let status_hint g know =
   match lookup g with
@@ -254,7 +243,7 @@ let stats () =
   ]
 
 (* Canonical fingerprint of the flattened table (alphabet, transitions,
-   verdict bitsets), for pinned on/off regression tests. *)
+   verdict bitsets), for pinned regression tests. *)
 let fingerprint t =
   let open Fingerprint in
   let h = init in

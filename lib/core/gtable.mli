@@ -25,10 +25,10 @@
     decisive verdict and must fall back on [Open] (e.g. coverage-[True]
     guards such as [□x + □x̄ + ¬x|¬x̄] stay [Open] syntactically).
 
-    The symbolic engine remains the differential oracle: switch the
-    tables off with {!set_enabled} and every caller degrades to the
-    symbolic path (the QCheck equivalence suite and the model-checker
-    pinned counts run both ways). *)
+    The symbolic engine remains the fallback and the differential
+    oracle: guards past the compile bound, and [Open] verdicts, are
+    evaluated symbolically, and the QCheck suite checks every table
+    walk against the symbolic assimilation fold. *)
 
 type state = int
 type verdict = Enabled | Violated | Open
@@ -46,15 +46,9 @@ val compile : ?max_states:int -> Guard.t -> t option
 
 val lookup : Guard.t -> t option
 (** Memoized [compile], keyed on the interned {!Guard.uid}; fleets of
-    instances sharing a guard pay compilation once.  Always [None]
-    while tables are {!set_enabled} off or {!Intern.enabled} is off.
-    The memo is dropped by {!Intern.clear_memos}. *)
-
-val set_enabled : bool -> unit
-(** Global switch (default on).  Off: [lookup] answers [None]
-    everywhere, so every evaluation takes the symbolic leg. *)
-
-val table_enabled : unit -> bool
+    instances sharing a guard pay compilation once, and a guard past
+    the bound is remembered as [None].  The memo is dropped by
+    {!Intern.clear_memos}. *)
 
 (** {1 Inspection} *)
 

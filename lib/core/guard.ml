@@ -397,87 +397,6 @@ let assimilate_product_promise (x : Literal.t) p =
 let assimilate_promise x g =
   normalize_sum (List.filter_map (assimilate_product_promise x) g)
 
-(* Incremental assimilation: each product carries the symbols whose
-   announcements can change it, so an assimilation visits only the
-   watching products and an unwatched announcement is a no-op.  See the
-   interface for the exactness contract. *)
-module Indexed = struct
-  type entry = {
-    prod : product;
-    occ_syms : Symbol.Set.t; (* masks ∪ pending: occurrences touch both *)
-    mask_syms : Symbol.Set.t; (* promises only touch masks *)
-  }
-
-  type t = {
-    entries : entry list;
-    occ_watch : Symbol.Set.t; (* union over entries *)
-    mask_watch : Symbol.Set.t;
-  }
-
-  let entry_of_product p =
-    let mask_syms =
-      Symbol.Map.fold (fun sym _ a -> Symbol.Set.add sym a) p.masks
-        Symbol.Set.empty
-    in
-    let occ_syms =
-      List.fold_left
-        (fun a tau ->
-          List.fold_left
-            (fun a l -> Symbol.Set.add (Literal.symbol l) a)
-            a tau)
-        mask_syms p.pending
-    in
-    { prod = p; occ_syms; mask_syms }
-
-  let of_guard g =
-    let entries = List.map entry_of_product g in
-    {
-      entries;
-      occ_watch =
-        List.fold_left
-          (fun a e -> Symbol.Set.union a e.occ_syms)
-          Symbol.Set.empty entries;
-      mask_watch =
-        List.fold_left
-          (fun a e -> Symbol.Set.union a e.mask_syms)
-          Symbol.Set.empty entries;
-    }
-
-  let to_guard t = List.map (fun e -> e.prod) t.entries
-  let watches_occurred t sym = Symbol.Set.mem sym t.occ_watch
-  let watches_promised t sym = Symbol.Set.mem sym t.mask_watch
-
-  (* Both updates assimilate the watching products, pass the rest
-     through, and renormalize the sum exactly as the naive path would:
-     the naive per-product step is the identity on non-watching
-     products, so the multiset entering [normalize_sum] is the same. *)
-  let occurred x t =
-    let sym = Literal.symbol x in
-    if not (Symbol.Set.mem sym t.occ_watch) then t
-    else
-      let touched, rest =
-        List.partition (fun e -> Symbol.Set.mem sym e.occ_syms) t.entries
-      in
-      let touched' =
-        List.filter_map (fun e -> assimilate_product_occurred x e.prod) touched
-      in
-      of_guard
-        (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
-
-  let promised x t =
-    let sym = Literal.symbol x in
-    if not (Symbol.Set.mem sym t.mask_watch) then t
-    else
-      let touched, rest =
-        List.partition (fun e -> Symbol.Set.mem sym e.mask_syms) t.entries
-      in
-      let touched' =
-        List.filter_map (fun e -> assimilate_product_promise x e.prod) touched
-      in
-      of_guard
-        (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
-end
-
 (* --- requirements ------------------------------------------------------- *)
 
 type requirement =
@@ -529,9 +448,10 @@ let map_symbols f g =
 (* Guards contain Symbol.Map values, whose balanced-tree shape depends
    on construction order, so the polymorphic hash is not stable across
    structurally equal guards; the interner is keyed on [compare]
-   instead.  The table is only populated when something asks for uids
-   (i.e. when tracing is enabled) and is dropped by [Intern.clear_memos]
-   alongside the other memo tables. *)
+   instead.  Like {!Intern}'s ids, a uid is never reassigned: the table
+   survives [Intern.clear_memos], so uids held by callers (the
+   {!Gtable} memo keys, actor fingerprints, trace records) keep naming
+   the guard they were handed out for. *)
 module GMap = Map.Make (struct
   type nonrec t = t
 
@@ -540,11 +460,6 @@ end)
 
 let uid_table = ref GMap.empty
 let uid_next = ref 0
-
-let () =
-  Intern.register_clearer (fun () ->
-      uid_table := GMap.empty;
-      uid_next := 0)
 
 let uid g =
   match GMap.find_opt g !uid_table with

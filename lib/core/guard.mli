@@ -93,42 +93,6 @@ val assimilate_occurred : Literal.t -> t -> t
 val assimilate_promise : Literal.t -> t -> t
 (** The event [x] is guaranteed to occur but has not yet ([◇x]). *)
 
-(** Incremental assimilation through a per-product watch index.
-
-    A long-lived guard assimilates a stream of announcements; most
-    announcements touch few of its products.  [Indexed.t] carries each
-    product's mentioned symbols (and, separately, its mask symbols — a
-    promise can only affect masks), so an assimilation visits and
-    re-normalizes only the products watching the announced symbol; an
-    announcement watched by no product returns the value physically
-    unchanged.
-
-    Exactness: on a watched symbol the result equals the naive
-    {!assimilate_occurred}/{!assimilate_promise} structurally (the
-    untouched products pass through the same normalization with the same
-    inputs).  On an unwatched symbol the result is semantically
-    equivalent but may differ structurally, because re-running
-    {!val-sum}'s normalization can merge products the previous pass left
-    apart; callers that compare against the naive path should fall back
-    to {!equivalent} (the differential tests do). *)
-module Indexed : sig
-  type guard := t
-
-  type t
-
-  val of_guard : guard -> t
-  val to_guard : t -> guard
-  val occurred : Literal.t -> t -> t
-  val promised : Literal.t -> t -> t
-
-  val watches_occurred : t -> Symbol.t -> bool
-  (** Whether an occurrence of the symbol can change the guard. *)
-
-  val watches_promised : t -> Symbol.t -> bool
-  (** Whether a promise on the symbol can change the guard (the symbol
-      appears in some product's masks). *)
-end
-
 (** {1 Requirements analysis (drives the runtime protocols)} *)
 
 type requirement =
@@ -156,7 +120,9 @@ val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
 
 val uid : t -> int
 (** Dense interned id of the guard, keyed on [compare], stable within a
-    process run.  The observability layer uses it to name residual
-    guards in trace records ([Wf_obs.Trace.Assim]); the table is only
-    populated when tracing asks for ids and is reset by
-    [Intern.clear_memos]. *)
+    process run.  {!Gtable.lookup} keys its memo on it, actor
+    fingerprints hash it, and the observability layer uses it to name
+    residual guards in trace records ([Wf_obs.Trace.Assim]), so every
+    run populates the table.  Like {!Intern}'s ids, uids survive
+    [Intern.clear_memos]: a uid once handed out is never given to a
+    different guard. *)

@@ -71,10 +71,6 @@ let nf (t : Nf.t) = intern_ids nf_tbl (List.map product t)
 let ids_tbl : id Ids_tbl.t = Ids_tbl.create 1024
 let ids l = intern_ids ids_tbl l
 
-let enabled_flag = ref true
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-
 let clearers : (unit -> unit) list ref = ref []
 let register_clearer f = clearers := f :: !clearers
 let clear_memos () = List.iter (fun f -> f ()) !clearers

@@ -19,10 +19,11 @@
     held by callers stay valid); benches use it to measure cold-start
     cost, and long-lived embedders can call it between workflows.
 
-    {!set_enabled} [false] routes {!Residue.nf}, {!Synth.guard} and
-    {!Automaton.build} through their naive, memo-free implementations —
-    the differential-testing oracle and the "before" leg of
-    [bench --json]. *)
+    {!Residue.nf}, {!Synth.guard} and {!Automaton.build} always run on
+    interned ids; their memo-free twins ({!Residue.nf_naive},
+    {!Synth.guard_naive}, {!Automaton.build_naive}) are called by name
+    as the differential-testing oracles and the "before" leg of
+    [bench --scaling]. *)
 
 type id = int
 (** Interned tag: equal values get equal ids, distinct values distinct
@@ -37,15 +38,6 @@ val ids : id list -> id
 (** Intern an arbitrary id list (order-sensitive), for derived values
     keyed on a set of already-interned parts — e.g. {!Synth}'s γ
     literal sets. *)
-
-val enabled : unit -> bool
-(** Whether optimized (interned + memoized) kernels are in force.
-    Defaults to [true]. *)
-
-val set_enabled : bool -> unit
-(** Toggle the optimized kernels; [false] restores the naive oracle
-    implementations everywhere.  Used by benches for before/after
-    measurements and by differential tests. *)
 
 val register_clearer : (unit -> unit) -> unit
 (** Modules owning a derived memo table register a reset hook here. *)

@@ -45,8 +45,7 @@ let nf_interned (t : Nf.t) t_id e e_id : Nf.t * Intern.id =
       entry
 
 let nf (t : Nf.t) e : Nf.t =
-  if not (Intern.enabled ()) then nf_naive t e
-  else fst (nf_interned t (Intern.nf t) e (Intern.literal e))
+  fst (nf_interned t (Intern.nf t) e (Intern.literal e))
 
 let symbolic d e = Nf.to_expr (nf (Nf.of_expr d) e)
 

@@ -15,22 +15,19 @@
     realize — and {!agrees_with_oracle} compares them there. *)
 
 val nf : Nf.t -> Literal.t -> Nf.t
-(** Symbolic residuation on normal forms.  When {!Intern.enabled}, the
-    result is memoized in a process-wide table keyed on interned ids
-    (term residues are memoized one level down the same way), shared
-    across all events of a run; results are structurally identical to
-    {!nf_naive} either way. *)
+(** Symbolic residuation on normal forms, memoized in a process-wide
+    table keyed on interned ids and shared across all events of a run;
+    results are structurally identical to {!nf_naive}. *)
 
 val nf_naive : Nf.t -> Literal.t -> Nf.t
-(** Memo-free reference implementation — the differential-testing oracle
-    and the "before" leg of the benches. *)
+(** Memo-free reference implementation — the differential-testing
+    oracle. *)
 
 val nf_interned : Nf.t -> Intern.id -> Literal.t -> Intern.id -> Nf.t * Intern.id
 (** [nf_interned t (Intern.nf t) e (Intern.literal e)] is {!nf} for
     callers that already hold the interned ids: the memo is probed
     without re-walking [t], and the residual comes back with its own id
-    so chained residuations never intern a value twice.  Assumes
-    interning is enabled. *)
+    so chained residuations never intern a value twice. *)
 
 val symbolic : Expr.t -> Literal.t -> Expr.t
 (** [symbolic d e] is [d/e] via normal forms. *)

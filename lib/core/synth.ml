@@ -123,10 +123,7 @@ let rec guard_shared_ids (d : Nf.t) d_id (e : Literal.t) e_id =
       Intern.Pair_tbl.add guard_tbl key g;
       g
 
-let guard_shared d e = guard_shared_ids d (Intern.nf d) e (Intern.literal e)
-
-let guard_nf d e =
-  if Intern.enabled () then guard_shared d e else guard_nf_naive d e
+let guard_nf d e = guard_shared_ids d (Intern.nf d) e (Intern.literal e)
 
 let guard d e = guard_nf (Nf.of_expr d) e
 let guard_naive d e = guard_nf_naive (Nf.of_expr d) e

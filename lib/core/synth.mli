@@ -14,10 +14,11 @@
     alphabet. *)
 
 val guard : Expr.t -> Literal.t -> Guard.t
-(** [guard d e] is [G(d, e)].  When {!Intern.enabled}, memoized in a
-    process-wide table keyed on interned [(residual, event)] ids, so
-    shared subresiduals are computed once across all guards of a run
-    (in particular across the literals of {!all_guards}). *)
+(** [guard d e] is [G(d, e)], memoized in a process-wide table keyed
+    on interned [(residual, event)] ids, so shared subresiduals are
+    computed once across all guards of a run (in particular across the
+    literals of {!all_guards}); results are structurally identical to
+    {!guard_naive}. *)
 
 val guard_nf : Nf.t -> Literal.t -> Guard.t
 

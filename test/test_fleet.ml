@@ -416,6 +416,48 @@ let test_reservation_waiters_fifo () =
     (List.equal Literal.equal arrival (List.rev !granted));
   check Alcotest.int "queue drained" 0 (List.length (Actor.waiters actor))
 
+(* A twelve-step chain per binding: the guard of its last step is past
+   the compiled tables' state bound (a k-step chain guard has 2^(k-1)+1
+   states), so the fleet decides it on its symbolic fallback and
+   Param_sched's table hint answers nothing; the two must still agree on
+   every outcome.  The first eleven steps are forced occurrences, so
+   only the last step's guard is ever evaluated. *)
+let long_chain =
+  let step i = Ptemplate.atom (Printf.sprintf "k%d" i) [ v "x" ] in
+  Ptemplate.choice_all
+    [
+      Ptemplate.atom ~pol:Literal.Neg "k11" [ v "x" ];
+      List.fold_left
+        (fun acc i -> Ptemplate.seq acc (step i))
+        (step 0)
+        (List.init 11 (fun i -> i + 1));
+    ]
+
+let test_differential_past_table_bound () =
+  let k i tok = psym (Printf.sprintf "k%d" i) tok in
+  let steps tok order = List.map (fun i -> O (Literal.pos (k i tok))) order in
+  let evs =
+    (* 0: parks, then its chain completes and releases it.  1: a step is
+       refused first, so the attempt is rejected.  2: parks, then a
+       step is refused under it; the retry is rejected. *)
+    [ A (k 11 "0"); A (k 11 "2") ]
+    @ steps "0" (List.init 11 Fun.id)
+    @ [ O (Literal.neg (k 0 "1")); A (k 11 "1") ]
+    @ steps "2" [ 0; 1 ]
+    @ [ O (Literal.neg (k 2 "2")); A (k 11 "2") ]
+  in
+  let se, fe = run_both [ long_chain ] evs in
+  checkb "0's last step was released"
+    (List.exists (Literal.equal (Literal.pos (k 11 "0"))) (Param_sched.trace se));
+  checkb "1's last step never occurred"
+    (not (Knowledge.decided (Param_sched.knowledge se) (k 11 "1")));
+  checkb "2's last step stays parked"
+    (List.equal Symbol.equal [ k 11 "2" ] (Fleet.parked fe));
+  let count = Wf_obs.Metrics.count (Fleet.stats fe) in
+  checkb "the fleet decided symbolically" (count "fleet_symbolic_evals" > 0);
+  check Alcotest.int "no compiled table was stepped" 0
+    (count "fleet_table_steps")
+
 let suite =
   [
     Alcotest.test_case "fleet eligibility" `Quick test_eligible;
@@ -427,6 +469,8 @@ let suite =
       gen_stream prop_differential_flow;
     Alcotest.test_case "differential: flow sheds, drains, exactly-once" `Quick
       test_differential_flow_drains;
+    Alcotest.test_case "differential: chain past the table bound" `Quick
+      test_differential_past_table_bound;
     Alcotest.test_case "recover restores arena state and continues" `Quick
       test_fleet_recover_equal_and_continues;
     Alcotest.test_case "recover over checksummed media" `Quick

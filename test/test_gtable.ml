@@ -1,11 +1,9 @@
 (* Compiled guard tables (Gtable): unit pins on a chain guard, the
    differential property against the symbolic assimilation engine —
    walking the table step by step must land on exactly the residual
-   guard the naive fold computes, with matching verdicts, and stay
-   semantically equal to the indexed fold — and the model-checker
-   state-count invariance: switching tables off must not change what
-   wfmc explores, because tables only short-circuit evaluations whose
-   answers they share with the symbolic path. *)
+   guard the naive fold computes, with matching verdicts — the pinned
+   model-checker state counts, and the symbolic fallback for guards
+   past the compile bound, run inside the distributed engine. *)
 
 open Wf_core
 open Helpers
@@ -62,14 +60,8 @@ let test_foreign_noop () =
   check Alcotest.int "promise of z is a no-op" s0
     (Gtable.step_promised tbl s0 (lit "z"))
 
-let test_switch_and_memo () =
+let test_memo () =
   let g = chain_guard () in
-  Gtable.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Gtable.set_enabled true)
-    (fun () ->
-      checkb "switch reads back" (not (Gtable.table_enabled ()));
-      checkb "lookup is None while disabled" (Gtable.lookup g = None));
   match (Gtable.lookup g, Gtable.lookup g) with
   | Some a, Some b -> checkb "lookup memoizes per guard" (a == b)
   | _ -> Alcotest.fail "lookup should compile the chain guard"
@@ -110,11 +102,9 @@ let gen_script =
 
 (* Exact differential: over the table's own alphabet the walk must
    reproduce the naive assimilation fold literally — compile builds
-   transitions with the same functions, so any gap is a real bug — and
-   the indexed fold must stay semantically equal (it skips unwatched
-   renormalizations, so only equivalence is promised; see Guard.Indexed). *)
+   transitions with the same functions, so any gap is a real bug. *)
 let differential =
-  qprop ~count:150 "table walk = naive fold; = indexed fold semantically"
+  qprop ~count:150 "table walk = naive assimilation fold"
     gen_script
     (fun (d, steps) ->
       Literal.Set.for_all
@@ -128,29 +118,21 @@ let differential =
                   (fun (_, x) -> Gtable.mem_symbol tbl (Literal.symbol x))
                   steps
               in
-              let g, ix, s =
+              let g, s =
                 List.fold_left
-                  (fun (g, ix, s) (promise, x) ->
+                  (fun (g, s) (promise, x) ->
                     if promise then
-                      ( Guard.assimilate_promise x g,
-                        Guard.Indexed.promised x ix,
-                        Gtable.step_promised tbl s x )
+                      (Guard.assimilate_promise x g, Gtable.step_promised tbl s x)
                     else
                       ( Guard.assimilate_occurred x g,
-                        Guard.Indexed.occurred x ix,
                         Gtable.step_occurred tbl s x ))
-                  (g0, Guard.Indexed.of_guard g0, Gtable.initial tbl)
-                  steps
+                  (g0, Gtable.initial tbl) steps
               in
               Guard.equal (Gtable.guard_of tbl s) g
               && Gtable.verdict tbl s
                  = (if Guard.is_true g then Gtable.Enabled
                     else if Guard.is_false g then Gtable.Violated
-                    else Gtable.Open)
-              && Guard.equivalent
-                   ~alphabet:(Guard.symbols g0)
-                   (Guard.Indexed.to_guard ix)
-                   g)
+                    else Gtable.Open))
         (Expr.literals d))
 
 (* Soundness of the short-circuit the schedulers take: whenever the
@@ -179,34 +161,82 @@ let hint_sound =
           | Some s -> Knowledge.status know g = s)
         (Expr.literals d))
 
-(* --- Model-checker invariance -------------------------------------------- *)
+(* --- Model-checker pins ------------------------------------------------- *)
 
 (* Tables only short-circuit guard evaluations; they never change the
-   answers, so wfmc must explore the identical state space with tables
-   on and off.  Pinned against the counts test_check pins. *)
-let test_mc_invariance () =
-  let states name =
-    (Mc.check ~spec_name:name (load name)).Mc.r_states
-  in
-  let with_tables b f =
-    Gtable.set_enabled b;
-    Fun.protect ~finally:(fun () -> Gtable.set_enabled true) f
-  in
+   answers, so wfmc explores exactly the state counts test_check pins. *)
+let test_mc_pins () =
   List.iter
     (fun (name, pinned) ->
-      check Alcotest.int (name ^ " states, tables on") pinned
-        (with_tables true (fun () -> states name));
-      check Alcotest.int (name ^ " states, tables off") pinned
-        (with_tables false (fun () -> states name)))
+      check Alcotest.int (name ^ " states") pinned
+        (Mc.check ~spec_name:name (load name)).Mc.r_states)
     [ ("mc_pair.wf", 91); ("mc_trigger.wf", 242) ]
+
+(* --- Table-bound fallback ----------------------------------------------- *)
+
+(* A sequential guard over k symbols residuates to 2^(k-1)+1 table
+   states, so in a chain of twelve commits the guard of the last one is
+   past [Gtable.compile]'s default bound: every engine must evaluate it
+   on the symbolic leg.  The chain is guarded by [~c_t11 +] so a run can
+   always finish by rejecting the last commit. *)
+let bound_chain = List.init 12 (Printf.sprintf "t%d")
+let bound_last = Catalog.commit_of "t11"
+
+let bound_dep =
+  Expr.choice
+    (Expr.atom (Literal.complement bound_last))
+    (Expr.seq_all
+       (List.map (fun t -> Expr.atom (Catalog.commit_of t)) bound_chain))
+
+let bound_wf =
+  Wf_tasks.Workflow_def.make ~name:"bound_chain"
+    ~tasks:
+      (List.mapi
+         (fun i t ->
+           Wf_tasks.Workflow_def.task ~instance:t
+             ~model:Wf_tasks.Task_model.transaction ~site:(i mod 4) ())
+         bound_chain)
+    ~deps:[ ("chain", bound_dep) ]
+    ()
+
+let test_bound_fallback () =
+  let module Ev = Wf_scheduler.Event_sched in
+  let plan = Compile.plan (Compile.compile [ bound_dep ]) bound_last in
+  checkb "the last commit's guard is past the table bound"
+    (Gtable.compile plan.Compile.guard = None);
+  let uncompilable () = List.assoc "uncompilable" (Gtable.stats ()) in
+  let before = uncompilable () in
+  let faults =
+    {
+      Wf_sim.Netsim.no_faults with
+      drop_rate = 0.1;
+      crash_on_deliver = 0.05;
+      crash_on_send = 0.02;
+      restart_delay = 2.0;
+      max_crashes = 8;
+    }
+  in
+  let crashes = ref 0 in
+  List.iter
+    (fun seed ->
+      let r = Ev.run ~config:{ Ev.default_config with seed; faults } bound_wf in
+      let name = Printf.sprintf "seed %Ld" seed in
+      checkb (name ^ ": satisfied") r.Ev.satisfied;
+      check Alcotest.int (name ^ ": no violations") 0
+        (List.length r.Ev.violations);
+      crashes := !crashes + Wf_obs.Metrics.count r.Ev.stats "net_crashes")
+    (suite_seeds "gtable-bound-fallback" 6);
+  checkb "crashes were injected" (!crashes > 0);
+  checkb "the engine's lookups answered None" (uncompilable () > before);
+  checkb "lookup answers None for the plan"
+    (Gtable.lookup plan.Compile.guard = None)
 
 let suite =
   [
     Alcotest.test_case "chain guard walks to its verdicts" `Quick
       test_chain_walk;
     Alcotest.test_case "foreign symbols are no-ops" `Quick test_foreign_noop;
-    Alcotest.test_case "global switch and per-guard memo" `Quick
-      test_switch_and_memo;
+    Alcotest.test_case "lookup memoizes per guard" `Quick test_memo;
     Alcotest.test_case "compile respects bounds; stats exposed" `Quick
       test_compile_bounds;
     Alcotest.test_case "fingerprint is reproducible" `Quick
@@ -214,6 +244,7 @@ let suite =
     Alcotest.test_case "verdict matrix renders" `Quick test_verdict_matrix;
     differential;
     hint_sound;
-    Alcotest.test_case "wfmc explores the same states with tables off" `Quick
-      test_mc_invariance;
+    Alcotest.test_case "wfmc explores the pinned states" `Quick test_mc_pins;
+    Alcotest.test_case "guards past the table bound run symbolically" `Quick
+      test_bound_fallback;
   ]

@@ -1,9 +1,7 @@
 (* Differential suites for the performance layer: the interned/memoized
-   kernels must agree with the naive reference implementations that
-   remain the oracle — structurally wherever the optimized path promises
-   structural equality (residuation, guard synthesis, automaton
-   construction), and at worst up to semantic equivalence for the
-   indexed-assimilation fast path (see Guard.Indexed's contract). *)
+   kernels must agree structurally with the naive reference
+   implementations that remain the oracle (residuation, guard
+   synthesis, automaton construction). *)
 
 open Wf_core
 open Helpers
@@ -33,6 +31,18 @@ let test_clear_memos () =
   let after = Synth.guard d (lit "e") in
   checkb "cleared memos recompute the same guard" (Guard.equal before after)
 
+(* Guard uids key the Gtable memo, actor fingerprints and trace records,
+   so like Intern's ids they must never be reassigned to another guard. *)
+let test_uids_survive_clear () =
+  let g1 = Synth.guard (Expr.seq e f) (lit "f") in
+  let g2 = Synth.guard (Expr.seq e f) (lit "e") in
+  checkb "two distinct guards" (not (Guard.equal g1 g2));
+  Intern.clear_memos ();
+  let u1 = Guard.uid g1 in
+  Intern.clear_memos ();
+  checkb "a cleared memo never reassigns a uid" (Guard.uid g2 <> u1);
+  check Alcotest.int "a guard keeps its uid across clears" u1 (Guard.uid g1)
+
 (* --- memoized residuation ------------------------------------------------ *)
 
 let residue_agrees =
@@ -41,16 +51,6 @@ let residue_agrees =
     (fun (d, l) ->
       let nf_ = Nf.of_expr d in
       Nf.equal (Residue.nf nf_ l) (Residue.nf_naive nf_ l))
-
-let residue_disabled_agrees =
-  qprop "residuation with interning disabled = naive"
-    QCheck2.Gen.(pair gen_expr gen_literal)
-    (fun (d, l) ->
-      let nf_ = Nf.of_expr d in
-      Intern.set_enabled false;
-      let off = Residue.nf nf_ l in
-      Intern.set_enabled true;
-      Nf.equal off (Residue.nf_naive nf_ l))
 
 (* --- shared-memo guard synthesis ----------------------------------------- *)
 
@@ -97,69 +97,14 @@ let automaton_agrees =
   qprop "fast automaton build = naive build (states, edges, flags)" gen_expr
     (fun d -> same_automaton (Automaton.build d) (Automaton.build_naive d))
 
-let automaton_disabled_is_naive =
-  qprop ~count:50 "build with interning disabled = naive build" gen_expr
-    (fun d ->
-      Intern.set_enabled false;
-      let off = Automaton.build d in
-      Intern.set_enabled true;
-      same_automaton off (Automaton.build_naive d))
-
-(* --- indexed assimilation ------------------------------------------------ *)
-
-(* Random announcement streams: occurrences and promises of random
-   literals, applied to a synthesized (hence realistic) guard.  The
-   indexed walk must match the naive fold structurally on watched
-   symbols; unwatched announcements may leave latent merges the naive
-   renormalization would perform, so fall back to semantic equivalence
-   (exactly the contract Guard.Indexed documents). *)
-let gen_news = QCheck2.Gen.(list_size (int_bound 6) (pair bool gen_literal))
-
-let assimilation_agrees =
-  qprop "indexed assimilation = naive assimilation (up to equivalence)"
-    QCheck2.Gen.(triple gen_expr gen_literal gen_news)
-    (fun (d, l, news) ->
-      let g0 = Synth.guard d l in
-      let naive =
-        List.fold_left
-          (fun g (occ, x) ->
-            if occ then Guard.assimilate_occurred x g
-            else Guard.assimilate_promise x g)
-          g0 news
-      in
-      let indexed =
-        List.fold_left
-          (fun ix (occ, x) ->
-            if occ then Guard.Indexed.occurred x ix
-            else Guard.Indexed.promised x ix)
-          (Guard.Indexed.of_guard g0)
-          news
-      in
-      let got = Guard.Indexed.to_guard indexed in
-      Guard.equal got naive || Guard.equivalent ~alphabet:alpha_efg got naive)
-
-let test_unwatched_is_noop () =
-  let g = Synth.guard (Expr.choice (Expr.seq e f) ne) (lit "f") in
-  let ix = Guard.Indexed.of_guard g in
-  let z = lit "z" in
-  checkb "unwatched symbol is not watched"
-    (not (Guard.Indexed.watches_occurred ix (Literal.symbol z)));
-  checkb "unwatched occurrence returns the index physically unchanged"
-    (Guard.Indexed.occurred z ix == ix);
-  checkb "unwatched promise returns the index physically unchanged"
-    (Guard.Indexed.promised z ix == ix)
-
 let suite =
   [
     Alcotest.test_case "interned ids are canonical" `Quick test_intern_ids;
     Alcotest.test_case "clear_memos preserves results" `Quick test_clear_memos;
+    Alcotest.test_case "guard uids survive clear_memos" `Quick
+      test_uids_survive_clear;
     residue_agrees;
-    residue_disabled_agrees;
     guard_agrees;
     all_guards_agree;
     automaton_agrees;
-    automaton_disabled_is_naive;
-    assimilation_agrees;
-    Alcotest.test_case "unwatched announcements are no-ops" `Quick
-      test_unwatched_is_noop;
   ]
